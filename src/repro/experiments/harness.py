@@ -11,22 +11,25 @@ an experiment needs is described as a picklable :class:`SimTask`
 (code name, version key, sizes, machine, passes, seed — CodeVersion
 closures themselves do not cross process boundaries; workers rebuild the
 version from the deterministic factory registry in :mod:`repro.codes`).
-The runner fans cache misses out over per-task worker processes when
-``jobs > 1`` and memoizes results in a content-addressed on-disk cache
-keyed by the task plus a fingerprint of the simulation engine's own
-sources, so a re-run of an unchanged figure costs zero simulations while
-any engine change transparently invalidates every cached point.
+The runner fans cache misses out over the crash-only worker pool
+(:class:`repro.serve.workers.WorkerPool`, the one ``repro serve`` runs
+on) when ``jobs > 1`` and memoizes results in a content-addressed
+on-disk cache keyed by the task plus a fingerprint of the simulation
+engine's own sources, so a re-run of an unchanged figure costs zero
+simulations while any engine change transparently invalidates every
+cached point.
 
-The execution engine is *fault-isolated* (DESIGN.md §12): each worker
-process runs exactly one task, so a crash, hang, or injected fault takes
-down one task, never the run.  Failed tasks are retried with exponential
-backoff and deterministic jitter up to ``retry.retries`` times; a task
-that keeps failing is **quarantined** — recorded with its full identity
-(code, mapping, sizes, seed, machine) in the runner telemetry and the
-checkpoint file — rather than poisoning the batch.  ``timeout_s``
-terminates an overrunning worker; ``checkpoint_path`` appends one JSONL
-record per completed simulation so a killed run resumes
-(``repro report --resume``) with zero redundant simulations.
+The execution engine is *fault-isolated* (DESIGN.md §12): a crash,
+hang, or injected fault fails only the task its worker was running; the
+pool respawns that one worker, never the run.  Failed tasks are retried
+with exponential backoff and deterministic jitter up to
+``retry.retries`` times; a task that keeps failing is **quarantined** —
+recorded with its full identity (code, mapping, sizes, seed, machine) in
+the runner telemetry and the checkpoint file — rather than poisoning the
+batch.  ``timeout_s`` terminates an overrunning worker;
+``checkpoint_path`` appends one JSONL record per completed simulation
+so a killed run resumes (``repro report --resume``) with zero redundant
+simulations.
 """
 
 from __future__ import annotations
@@ -35,13 +38,10 @@ import hashlib
 import heapq
 import json
 import logging
-import multiprocessing
 import os
 import time
-from collections import deque
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
-from multiprocessing.connection import wait as _connection_wait
 from pathlib import Path
 from typing import Callable, Mapping, Optional, Sequence
 
@@ -249,11 +249,8 @@ class TaskFailure(RuntimeError):
 
 
 def _run_sim_task(task: SimTask) -> SimResult:
-    """Worker entry point: rebuild the version locally, simulate it.
-
-    Top-level (not a closure) so worker processes can pickle it;
-    imports deferred so a fresh worker process pays them once.
-    """
+    """Rebuild the version locally and simulate it (in process or in a
+    pool worker's ``simulate`` job)."""
     from repro.codes import get_version
     from repro.execution.simulator import simulate
 
@@ -269,50 +266,11 @@ def _run_sim_task(task: SimTask) -> SimResult:
 
 
 def _run_sim_task_timed(task: SimTask) -> tuple[SimResult, float, int]:
-    """``_run_sim_task`` plus the telemetry the parent wants back.
-
-    Worker processes have their own metrics registry whose contents die
-    with the pool, so the wall time and worker id travel with the result
-    and the parent-side runner folds them into *its* registry.
-    """
+    """``_run_sim_task`` plus its wall time and the worker's pid, which
+    travel with the result so the runner's telemetry sees them."""
     t0 = time.perf_counter()
     result = _run_sim_task(task)
     return result, time.perf_counter() - t0, os.getpid()
-
-
-def _subprocess_worker(task: SimTask, conn) -> None:
-    """One-task worker process: send back ``("ok", ...)`` or ``("err", ...)``.
-
-    A worker that dies before sending anything (hard crash, OOM kill,
-    injected ``kill`` fault) is detected by the parent as EOF on the
-    pipe — the crash-isolation path the chaos suite exercises.
-
-    The ``ok`` message carries the worker's whole observability state —
-    the full metrics snapshot (not just ``machine.*``) and the
-    ``warn_once`` dedup keys — so the parent's registry ends up exactly
-    as if the task had run in-process, and a warning the worker already
-    surfaced is not repeated for every later task.
-    """
-    from repro import obs
-
-    try:
-        # A forked worker inherits the parent registry — including
-        # counts merged back from *earlier* workers.  Start from zero so
-        # the snapshot sent home is exactly this task's contribution.
-        obs.reset_metrics()
-        result, wall, pid = _run_sim_task_timed(task)
-        obs_payload = {
-            "metrics": obs.get_metrics().snapshot(),
-            "dedup": list(obs.seen_keys()),
-        }
-        conn.send(("ok", result, wall, pid, obs_payload))
-    except BaseException as exc:  # noqa: BLE001 - report, parent classifies
-        try:
-            conn.send(("err", type(exc).__name__, str(exc)))
-        except Exception:
-            pass
-    finally:
-        conn.close()
 
 
 # ``engine_fingerprint`` lives in :mod:`repro.store.fingerprint` now
@@ -324,15 +282,15 @@ def _subprocess_worker(task: SimTask, conn) -> None:
 class SimulationRunner:
     """Runs :class:`SimTask` batches with caching and fault isolation.
 
-    ``jobs > 1`` dispatches cache misses to per-task worker processes
-    (one process per task: a crash or hang is contained to that task);
+    ``jobs > 1`` dispatches cache misses to a crash-only worker pool
+    opened for the batch (a crash or hang fails only that task);
     ``cache_dir`` enables the content-addressed result cache (one JSON
     file per point, digest-verified and self-healing).  ``simulated``
     and ``cache_hits`` count what actually happened — the warm-cache
     experiment test asserts ``simulated == 0`` on a second run.
 
     Resilience knobs: ``timeout_s`` terminates an overrunning worker
-    (forces the process engine even at ``jobs=1``); ``retry`` (an int
+    (forces the pool even at ``jobs=1``); ``retry`` (an int
     or a :class:`~repro.resilience.retry.RetryPolicy`) bounds retries
     with exponential backoff + deterministic jitter; tasks that exhaust
     retries are quarantined, not fatal (unless ``strict``, when a
@@ -510,15 +468,15 @@ class SimulationRunner:
                     misses.append(i)
             batch_quarantined: list[QuarantineRecord] = []
             if misses:
-                # The process engine is required for true timeouts
-                # (only a separate process can be terminated) and for
-                # crash isolation; plain sequential runs stay in
-                # process to keep single-point latency minimal.
+                # The pool is required for true timeouts (only a
+                # separate process can be terminated) and for crash
+                # isolation; plain sequential runs stay in process to
+                # keep single-point latency minimal.
                 use_processes = self.timeout_s is not None or (
                     self.jobs > 1 and len(misses) > 1
                 )
                 if use_processes:
-                    self._execute_in_processes(
+                    self._execute_in_pool(
                         tasks, misses, results, batch_quarantined, sp
                     )
                 else:
@@ -555,31 +513,24 @@ class SimulationRunner:
         """Sequential engine: retries inline, exceptions contained."""
         for i in misses:
             task = tasks[i]
-            key = self.task_key(task)
             history: list[str] = []
             for attempt in range(self.retry.retries + 1):
                 try:
                     result, wall_s, worker = _run_sim_task_timed(task)
                 except Exception as exc:  # noqa: BLE001 - classified below
-                    history.append(f"{type(exc).__name__}: {exc}")
-                    if attempt < self.retry.retries:
-                        self._note_retry(task, attempt, key, sp)
-                        time.sleep(self.retry.delay(attempt, key))
-                        continue
-                    self._quarantine(
-                        task,
-                        "exception",
+                    delay = self._failed(
+                        task, attempt, history, "exception",
                         f"{type(exc).__name__}: {exc}",
-                        attempt + 1,
-                        history,
-                        batch_quarantined,
-                        sp,
+                        batch_quarantined, sp,
                     )
-                    break
+                    if delay is None:
+                        break
+                    time.sleep(delay)
+                    continue
                 self._complete(i, task, result, wall_s, worker, results, sp)
                 break
 
-    def _execute_in_processes(
+    def _execute_in_pool(
         self,
         tasks: Sequence[SimTask],
         misses: Sequence[int],
@@ -587,118 +538,84 @@ class SimulationRunner:
         batch_quarantined: list,
         sp,
     ) -> None:
-        """Per-task worker processes: timeout, crash, and retry aware.
+        """Pool engine: a :class:`~repro.serve.workers.WorkerPool` for
+        this batch, timeout, crash, and retry aware.
 
-        Each task gets its own process and pipe, so a hard crash is an
-        EOF on that task's pipe and a hang is a terminate() of that
-        task's process — neither touches any other in-flight task (the
-        pool-based engine this replaces lost the whole pool on one
-        crash and could not time out at all).
+        A hard crash fails only the job its worker was running and a
+        hang past ``timeout_s`` kills only that worker; the pool
+        respawns it and every other in-flight task keeps its worker.
+        Results — and the workers' metrics — are consumed here, on the
+        runner's thread, so the registry keeps one writer per
+        instrument.
         """
-        ctx = multiprocessing.get_context()
-        pending: deque = deque((i, 0, []) for i in misses)
-        delayed: list[tuple[float, int, int, list]] = []
-        # receiving pipe end -> (process, task index, attempt, history,
-        # absolute deadline or None)
+        from concurrent.futures import FIRST_COMPLETED, wait
+
+        from repro.serve.workers import (
+            JobFailed,
+            WorkerCrash,
+            WorkerPool,
+            WorkerTimeout,
+        )
+
+        pool = WorkerPool(workers=min(self.jobs, len(misses)), name="harness")
+        # future -> (task index, attempt, history)
         running: dict = {}
+        # Min-heap of (ready time, task index, attempt, history).
+        delayed: list[tuple[float, int, int, list]] = []
 
-        def spawn(i: int, attempt: int, history: list) -> None:
-            task = tasks[i]
-            recv_conn, send_conn = ctx.Pipe(duplex=False)
-            proc = ctx.Process(
-                target=_subprocess_worker, args=(task, send_conn), daemon=True
+        def submit(i: int, attempt: int, history: list) -> None:
+            future = pool.submit(
+                {"kind": "simulate", "task": tasks[i]}, deadline_s=self.timeout_s
             )
-            proc.start()
-            send_conn.close()  # parent keeps only the receiving end
-            deadline = (
-                time.monotonic() + self.timeout_s
-                if self.timeout_s is not None
-                else None
-            )
-            running[recv_conn] = (proc, i, attempt, history, deadline)
+            running[future] = (i, attempt, history)
 
-        def fail(i: int, attempt: int, history: list, kind: str, msg: str):
-            task = tasks[i]
-            key = self.task_key(task)
-            history.append(f"{kind}: {msg}")
-            if attempt < self.retry.retries:
-                self._note_retry(task, attempt, key, sp)
-                ready = time.monotonic() + self.retry.delay(attempt, key)
-                heapq.heappush(delayed, (ready, i, attempt + 1, history))
-            else:
-                self._quarantine(
-                    task, kind, msg, attempt + 1, history,
-                    batch_quarantined, sp,
+        pool.start()
+        try:
+            for i in misses:
+                submit(i, 0, [])
+            while running or delayed:
+                now = time.monotonic()
+                while delayed and delayed[0][0] <= now:
+                    _, i, attempt, history = heapq.heappop(delayed)
+                    submit(i, attempt, history)
+                wait_for = max(0.0, delayed[0][0] - now) if delayed else None
+                if not running:
+                    time.sleep(wait_for)
+                    continue
+                done, _ = wait(
+                    running, timeout=wait_for, return_when=FIRST_COMPLETED
                 )
-
-        while pending or delayed or running:
-            now = time.monotonic()
-            while delayed and delayed[0][0] <= now:
-                _, i, attempt, history = heapq.heappop(delayed)
-                pending.append((i, attempt, history))
-            while pending and len(running) < self.jobs:
-                i, attempt, history = pending.popleft()
-                spawn(i, attempt, history)
-            if not running:
-                if delayed:
-                    time.sleep(max(0.0, delayed[0][0] - time.monotonic()))
-                continue
-            wait_for = 0.25
-            for _, (_, _, _, _, deadline) in running.items():
-                if deadline is not None:
-                    wait_for = min(wait_for, max(0.0, deadline - now))
-            if delayed:
-                wait_for = min(wait_for, max(0.0, delayed[0][0] - now))
-            ready = _connection_wait(list(running), timeout=wait_for)
-            for conn in ready:
-                proc, i, attempt, history, _ = running.pop(conn)
-                try:
-                    message = conn.recv()
-                except (EOFError, OSError):
-                    # The worker died before reporting: a hard crash
-                    # (segfault, OOM kill, injected ``kill`` fault).
-                    proc.join()
-                    fail(
-                        i, attempt, history, "crash",
-                        f"worker died (exit code {proc.exitcode})",
-                    )
-                else:
-                    proc.join()
-                    if message[0] == "ok":
-                        _, result, wall_s, worker, obs_payload = message
+                for future in done:
+                    i, attempt, history = running.pop(future)
+                    try:
+                        result, wall_s, worker = future.result()
+                    except WorkerCrash as exc:
+                        kind = "crash"
+                        message = f"worker died (exit code {exc.exitcode})"
+                    except WorkerTimeout:
+                        kind = "timeout"
+                        message = f"timed out after {self.timeout_s:g}s"
+                    except JobFailed as exc:
+                        kind, message = "exception", str(exc)
+                    else:
+                        future.merge_obs()
                         self._complete(
                             i, tasks[i], result, wall_s, worker, results, sp
                         )
-                        # Worker-process registries die with the worker:
-                        # merge the *whole* snapshot (machine.*, engine
-                        # counters, resilience events — everything the
-                        # task recorded) plus its warning-dedup keys.
-                        obs.merge_snapshot(obs_payload["metrics"])
-                        obs.merge_dedup(obs_payload["dedup"])
-                    else:
-                        _, exc_type, exc_msg = message
-                        fail(
-                            i, attempt, history, "exception",
-                            f"{exc_type}: {exc_msg}",
-                        )
-                finally:
-                    conn.close()
-            now = time.monotonic()
-            for conn, (proc, i, attempt, history, deadline) in list(
-                running.items()
-            ):
-                if deadline is not None and now >= deadline:
-                    running.pop(conn)
-                    proc.terminate()
-                    proc.join(1.0)
-                    if proc.is_alive():
-                        proc.kill()
-                        proc.join()
-                    conn.close()
-                    fail(
-                        i, attempt, history, "timeout",
-                        f"timed out after {self.timeout_s:g}s",
+                        continue
+                    delay = self._failed(
+                        tasks[i], attempt, history, kind, message,
+                        batch_quarantined, sp,
                     )
+                    if delay is not None:
+                        heapq.heappush(
+                            delayed,
+                            (time.monotonic() + delay, i, attempt + 1, history),
+                        )
+        finally:
+            # Idle after a finished batch; on an interrupt, in-flight
+            # workers are killed without waiting.
+            pool.shutdown(grace_s=0.0)
 
     def _complete(
         self,
@@ -719,17 +636,33 @@ class SimulationRunner:
             )
         self._record_miss(task, result, wall_s, worker, sp)
 
-    def _note_retry(self, task: SimTask, attempt: int, key: str, sp) -> None:
+    def _failed(
+        self,
+        task: SimTask,
+        attempt: int,
+        history: list,
+        kind: str,
+        message: str,
+        batch_quarantined: list,
+        sp,
+    ) -> Optional[float]:
+        """Record one failed attempt: the backoff before the retry, or
+        None once retries are exhausted and the task is quarantined."""
+        history.append(f"{kind}: {message}")
+        if attempt >= self.retry.retries:
+            self._quarantine(
+                task, kind, message, attempt + 1, history,
+                batch_quarantined, sp,
+            )
+            return None
+        delay = self.retry.delay(attempt, self.task_key(task))
         self.retries_used += 1
-        metrics = obs.get_metrics()
-        metrics.counter("resilience.retries").inc()
+        obs.get_metrics().counter("resilience.retries").inc()
         sp.event(
-            "sim.retry",
-            task=task.label,
-            attempt=attempt,
-            delay_s=round(self.retry.delay(attempt, key), 4),
+            "sim.retry", task=task.label, attempt=attempt, delay_s=round(delay, 4)
         )
         _LOG.debug("retrying %s (attempt %d)", task.label, attempt + 1)
+        return delay
 
     def _quarantine(
         self,

@@ -2,17 +2,22 @@
 
 The registry is deliberately tiny and dependency-free.  Instruments are
 create-or-get by name (``metrics.counter("search.nodes")``), mutate in
-O(1) with no locks on the hot path (CPython attribute stores are atomic
-enough for our single-writer uses), and ``snapshot()`` renders the whole
-registry as a plain JSON-serialisable dict — the same payload the tracer
-appends as the final record of a trace file.
+O(1) with no locks, and ``snapshot()`` renders the whole registry as a
+plain JSON-serialisable dict — the same payload the tracer appends as
+the final record of a trace file.
+
+The lock-free updates rely on one rule: **each instrument has one
+writer thread**.  ``inc`` is a read-modify-write, so two threads bumping
+the same counter can lose counts.
 
 Hot loops should accumulate into locals and flush once (see
 :mod:`repro.core.search`); the registry is for *aggregates*, not for
-per-element updates.  Worker processes get their own registry — the
-experiment harness folds what matters (wall times, cache stats,
-:class:`~repro.machine.hierarchy.AccessStats`) back into the parent's
-registry from the returned results.
+per-element updates.  Worker processes get their own registry: a pool
+worker (:mod:`repro.serve.workers`) ships the whole ``snapshot()`` of
+each job home with its result, and the caller folds it in with
+:func:`merge_snapshot` on the thread that consumes the result (the
+harness's thread, the daemon's event loop).  The pool's scheduler
+thread writes only the pool's own ``{name}.*`` counters.
 """
 
 from __future__ import annotations

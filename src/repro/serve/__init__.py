@@ -14,47 +14,45 @@ Layers, bottom up:
   board + the dedicated native-toolchain breaker);
 - :mod:`repro.serve.app` — :class:`~repro.serve.app.ServeApp`, wiring it
   all behind ``repro serve``.
+
+The names below load on first use, so the experiment harness can import
+:mod:`repro.serve.workers` for its worker pool without pulling asyncio
+and the HTTP layers into every simulation process.
 """
 
-from repro.serve.admission import AdmissionDecision, AdmissionGate
-from repro.serve.app import ServeApp, serve_main
-from repro.serve.breaker import BreakerBoard, CircuitBreaker
-from repro.serve.coalesce import Coalescer
-from repro.serve.protocol import (
-    ERROR_CODES,
-    RequestError,
-    ServeError,
-    compile_request_key,
-    experiment_request_key,
-    normalize_compile_request,
-    normalize_experiment_request,
-)
-from repro.serve.workers import (
-    JobFailed,
-    WorkerCrash,
-    WorkerPool,
-    WorkerTimeout,
-    execute_job,
-)
+import importlib
 
-__all__ = [
-    "ERROR_CODES",
-    "AdmissionDecision",
-    "AdmissionGate",
-    "BreakerBoard",
-    "CircuitBreaker",
-    "Coalescer",
-    "JobFailed",
-    "RequestError",
-    "ServeApp",
-    "ServeError",
-    "WorkerCrash",
-    "WorkerPool",
-    "WorkerTimeout",
-    "compile_request_key",
-    "execute_job",
-    "experiment_request_key",
-    "normalize_compile_request",
-    "normalize_experiment_request",
-    "serve_main",
-]
+#: exported name -> submodule that defines it
+_EXPORTS = {
+    "AdmissionDecision": "admission",
+    "AdmissionGate": "admission",
+    "ServeApp": "app",
+    "serve_main": "app",
+    "BreakerBoard": "breaker",
+    "CircuitBreaker": "breaker",
+    "Coalescer": "coalesce",
+    "ERROR_CODES": "protocol",
+    "RequestError": "protocol",
+    "ServeError": "protocol",
+    "compile_request_key": "protocol",
+    "experiment_request_key": "protocol",
+    "normalize_compile_request": "protocol",
+    "normalize_experiment_request": "protocol",
+    "JobFailed": "workers",
+    "WorkerCrash": "workers",
+    "WorkerPool": "workers",
+    "WorkerTimeout": "workers",
+    "execute_job": "workers",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}"
+        ) from None
+    return getattr(importlib.import_module(f"repro.serve.{module}"), name)

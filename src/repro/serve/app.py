@@ -417,8 +417,9 @@ class ServeApp:
                     },
                 }
             native = dispatch.get("engine") == "native"
+            future = self.pool.submit(dispatch)
             try:
-                result = await asyncio.wrap_future(self.pool.submit(dispatch))
+                result = await asyncio.wrap_future(future)
             except (WorkerCrash, WorkerTimeout) as exc:
                 last_exc = exc
                 breaker.record_failure()
@@ -437,6 +438,8 @@ class ServeApp:
                     continue
                 breaker.record_failure()
                 raise
+            # Worker metrics merge here, on the event loop's thread.
+            future.merge_obs()
             breaker.record_success()
             degradation = result.get("degradation")
             if native:

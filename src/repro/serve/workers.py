@@ -1,46 +1,61 @@
 """The crash-only worker pool: subprocess workers that may die at any
-instant without taking a request — let alone the daemon — with them.
+instant without taking a job — let alone their caller — with them.
 
-Same scheduler idiom as the experiment harness (DESIGN.md §12): worker
-*processes* connected by pipes, multiplexed with
-``multiprocessing.connection.wait``.  The differences fit the serve
-workload:
+Two callers share it (DESIGN.md §12): the ``repro serve`` daemon runs
+its ``compile`` / ``experiment`` requests here, and the experiment
+harness (:class:`repro.experiments.harness.SimulationRunner`) runs its
+cache misses here as internal ``simulate`` jobs.  Worker *processes*
+are connected by pipes and multiplexed with
+``multiprocessing.connection.wait``:
 
-- workers are **persistent** (a compile costs milliseconds; a fork plus
-  imports costs more) but **crash-only**: a worker holds no state that
-  matters — results live in the shared store, requests in the parent —
-  so recovery from segfault, OOM kill, injected ``kill``, or a wedged
-  toolchain is always the same: reap, respawn, re-dispatch.  There is
-  no worker "shutdown protocol" beyond a sentinel; ``kill -9`` is an
-  equally valid exit.
-- a worker that exceeds its per-job **deadline** is terminated (then
+- workers are **persistent** (a compile or a small simulation costs
+  milliseconds; a fork plus imports costs more) but **crash-only**: a
+  worker holds no state that matters — results live in the shared store
+  or go back to the caller — so recovery from segfault, OOM kill,
+  injected ``kill``, or a wedged toolchain is always the same: reap,
+  respawn, fail only that worker's job.  There is no worker "shutdown
+  protocol" beyond a sentinel; ``kill -9`` is an equally valid exit.
+- a worker that exceeds its job's **deadline** is terminated (then
   killed) and respawned; only the one overdue job fails, every other
   in-flight job keeps its worker.
-- the scheduler runs on a daemon *thread* (the daemon's main thread is
-  the asyncio event loop); ``submit`` returns a
-  :class:`concurrent.futures.Future` the loop awaits via
-  ``asyncio.wrap_future``.
+- the scheduler runs on a daemon *thread*; ``submit`` returns a
+  :class:`JobFuture` the caller awaits (the daemon via
+  ``asyncio.wrap_future``, the harness via ``concurrent.futures.wait``).
+  The thread that consumes a result also merges the worker's metrics
+  (:meth:`JobFuture.merge_obs`); the scheduler thread writes only the
+  pool's own ``{name}.*`` counters, so every registry instrument keeps
+  one writer (:mod:`repro.obs.metrics`).
 
-Fault sites (chaos grammar, DESIGN.md §12): ``serve.worker`` fires in
-the worker as a job starts — ``REPRO_FAULTS=serve.worker:kill:times=2``
-kills two workers mid-job across the whole daemon; ``serve.toolchain``
-fires before a native-engine compile, so toolchain wedges are
-deterministically reproducible.
+Fault sites (chaos grammar, DESIGN.md §12): each job fires exactly one
+worker site as it starts — ``serve.worker`` for the daemon's kinds
+(``REPRO_FAULTS=serve.worker:kill:times=2`` kills two workers mid-job
+across the whole daemon), ``harness.worker`` for ``simulate``;
+``serve.toolchain`` fires before a native-engine compile, so toolchain
+wedges are deterministically reproducible.
 """
 
 from __future__ import annotations
 
 import collections
+import importlib
 import itertools
 import multiprocessing
 import os
+import sys
 import threading
 import time
 from concurrent.futures import Future
 from multiprocessing.connection import wait as _connection_wait
 from typing import Any, Optional
 
-__all__ = ["JobFailed", "WorkerCrash", "WorkerPool", "WorkerTimeout", "execute_job"]
+__all__ = [
+    "JobFailed",
+    "JobFuture",
+    "WorkerCrash",
+    "WorkerPool",
+    "WorkerTimeout",
+    "execute_job",
+]
 
 
 class WorkerCrash(RuntimeError):
@@ -70,13 +85,24 @@ class JobFailed(RuntimeError):
 # -- worker-side execution ----------------------------------------------------
 
 
-def execute_job(job: dict, cache_dir: Optional[str]) -> dict:
-    """Run one job dict (a normalised request) to a JSON-able result.
+def execute_job(job: dict, cache_dir: Optional[str]) -> Any:
+    """Run one job dict to its result.
 
-    Top-level so the chaos/unit suites can call it in-process; the
-    worker loop below calls it after firing the ``serve.worker`` site.
+    The daemon's kinds (a normalised request) fire the ``serve.worker``
+    site and return a JSON-able dict.  ``simulate`` is the harness's
+    internal kind — no request normaliser in :mod:`repro.serve.protocol`
+    produces it — and returns ``_run_sim_task_timed``'s tuple, firing
+    only the ``harness.worker`` site inside it.  Top-level so the
+    chaos/unit suites can call it in-process.
     """
     kind = job.get("kind")
+    if kind == "simulate":
+        from repro.experiments.harness import _run_sim_task_timed
+
+        return _run_sim_task_timed(job["task"])
+    from repro.resilience.faults import maybe_fault
+
+    maybe_fault("serve.worker", label=job.get("label", kind or ""))
     if kind == "compile":
         return _execute_compile(job, cache_dir)
     if kind == "experiment":
@@ -169,6 +195,29 @@ def _execute_experiment(job: dict, cache_dir: Optional[str]) -> dict:
         runner.close()
 
 
+def _drop_orphaned_imports() -> None:
+    """Forget the imports other threads of the parent had in flight when
+    this worker was forked.
+
+    The pool forks replacement workers from its scheduler thread while
+    the caller's threads run on.  A module another thread was importing
+    at that instant is locked here by a thread this process does not
+    have, so importing it would block forever.  The worker is
+    single-threaded: dropping the orphaned lock, and the half-initialised
+    module, lets it import the module afresh.
+    """
+    me = threading.get_ident()
+    locks = importlib._bootstrap._module_locks
+    for name, ref in list(locks.items()):
+        lock = ref()
+        if getattr(lock, "owner", None) in (None, me):
+            continue
+        del locks[name]
+        module = sys.modules.get(name)
+        if getattr(getattr(module, "__spec__", None), "_initializing", False):
+            del sys.modules[name]
+
+
 def _worker_main(conn, cache_dir: Optional[str]) -> None:
     """Persistent worker loop: recv job, execute, send outcome, repeat.
 
@@ -177,8 +226,9 @@ def _worker_main(conn, cache_dir: Optional[str]) -> None:
     shared store consistent (its writes are atomic) and the parent
     replans from EOF on the pipe.
     """
+    _drop_orphaned_imports()
     from repro import obs
-    from repro.resilience.faults import maybe_fault, reset_plan
+    from repro.resilience.faults import reset_plan
 
     # The fork inherited the parent's armed plan object; re-arm from the
     # environment so per-process state (after=, p= RNGs) starts fresh
@@ -194,9 +244,8 @@ def _worker_main(conn, cache_dir: Optional[str]) -> None:
         job_id, job = message
         try:
             # A fresh registry per job: the snapshot shipped home is
-            # exactly this job's contribution (same idiom as harness).
+            # exactly this job's contribution.
             obs.reset_metrics()
-            maybe_fault("serve.worker", label=job.get("label", job.get("kind", "")))
             result = execute_job(job, cache_dir)
             payload = {
                 "metrics": obs.get_metrics().snapshot(),
@@ -214,6 +263,27 @@ def _worker_main(conn, cache_dir: Optional[str]) -> None:
 # -- parent-side pool ---------------------------------------------------------
 
 
+class JobFuture(Future):
+    """The future :meth:`WorkerPool.submit` returns.
+
+    On success it also carries the worker's observability payload (its
+    metrics snapshot and ``warn_once`` dedup keys).  The caller folds
+    that in with :meth:`merge_obs` on the thread that consumes the
+    result, never the pool's scheduler thread.
+    """
+
+    obs_payload: Optional[dict] = None
+
+    def merge_obs(self) -> None:
+        """Merge the worker's payload into this process (at most once)."""
+        from repro import obs
+
+        payload, self.obs_payload = self.obs_payload, None
+        if payload is not None:
+            obs.merge_snapshot(payload["metrics"])
+            obs.merge_dedup(payload["dedup"])
+
+
 def _fail_future(future: Future, exc: BaseException) -> None:
     """Fail ``future`` unless it already resolved (races the scheduler
     thread delivering a result between our done() check and set)."""
@@ -228,13 +298,18 @@ def _fail_future(future: Future, exc: BaseException) -> None:
 class _Worker:
     """Parent-side record of one worker process."""
 
-    __slots__ = ("proc", "conn", "job_id", "future", "deadline", "started_at")
+    __slots__ = (
+        "proc", "conn", "job_id", "future", "deadline", "deadline_s",
+        "started_at",
+    )
 
     def __init__(self, proc, conn):
         self.proc = proc
         self.conn = conn
         self.job_id: Optional[int] = None
-        self.future: Optional[Future] = None
+        self.future: Optional[JobFuture] = None
+        # The in-flight job's own deadline: seconds, and when it passes.
+        self.deadline_s: Optional[float] = None
         self.deadline: Optional[float] = None
         self.started_at = time.monotonic()
 
@@ -244,14 +319,22 @@ class _Worker:
 
 
 class WorkerPool:
-    """N crash-only workers behind a ``connection.wait`` scheduler thread."""
+    """N crash-only workers behind a ``connection.wait`` scheduler thread.
+
+    ``name`` labels the scheduler thread and the pool's own metrics
+    (``{name}.jobs.completed`` / ``.failed``, ``{name}.worker_restarts``)
+    and restart event, so the daemon's pool and the harness's pool stay
+    apart in one registry.
+    """
 
     def __init__(
         self,
         workers: int = 2,
         cache_dir: Optional[str] = None,
         deadline_s: Optional[float] = None,
+        name: str = "serve",
     ) -> None:
+        self.name = name
         self.size = max(1, int(workers))
         self.cache_dir = str(cache_dir) if cache_dir is not None else None
         self.deadline_s = deadline_s
@@ -276,27 +359,23 @@ class WorkerPool:
         for _ in range(self.size):
             self._workers.append(self._spawn())
         self._thread = threading.Thread(
-            target=self._scheduler, name="serve-pool", daemon=True
+            target=self._scheduler, name=f"{self.name}-pool", daemon=True
         )
         self._thread.start()
 
     def _spawn(self) -> _Worker:
-        recv_ours, send_theirs = self._ctx.Pipe(duplex=False)
-        recv_theirs, send_ours = self._ctx.Pipe(duplex=False)
+        ours, theirs = self._ctx.Pipe()
         proc = self._ctx.Process(
-            target=_worker_loop_entry,
-            args=(recv_theirs, send_theirs, self.cache_dir),
-            daemon=True,
+            target=_worker_main, args=(theirs, self.cache_dir), daemon=True
         )
         proc.start()
-        send_theirs.close()
-        recv_theirs.close()
-        worker = _Worker(proc, _DuplexPair(recv_ours, send_ours))
-        return worker
+        theirs.close()  # the worker's death is EOF on ours
+        return _Worker(proc, ours)
 
     def shutdown(self, grace_s: float = 10.0) -> None:
         """Stop accepting, let in-flight jobs finish within ``grace_s``,
-        then take the pool down (kill anything still running).
+        then take the pool down (kill anything still running at once;
+        idle workers get the exit sentinel).
 
         While ``_closing`` is set the scheduler keeps dispatching the
         already-accepted queue and delivering results; it only refuses
@@ -321,12 +400,14 @@ class WorkerPool:
         for _, _, future, _ in pending:
             _fail_future(future, RuntimeError("pool shut down"))
         for worker in workers:
+            if worker.future is not None:
+                worker.proc.kill()  # outlived the grace window
+                _fail_future(worker.future, RuntimeError("pool shut down"))
+                continue
             try:
                 worker.conn.send(None)
             except (OSError, ValueError):
                 pass
-            if worker.future is not None:
-                _fail_future(worker.future, RuntimeError("pool shut down"))
         for worker in workers:
             worker.proc.join(1.0)
             if worker.proc.is_alive():
@@ -339,13 +420,13 @@ class WorkerPool:
 
     # -- submission ------------------------------------------------------
 
-    def submit(self, job: dict, deadline_s: Optional[float] = None) -> Future:
-        """Queue one job; the future resolves to the worker's result dict
+    def submit(self, job: dict, deadline_s: Optional[float] = None) -> JobFuture:
+        """Queue one job; the future resolves to the worker's result
         or raises :class:`WorkerCrash` / :class:`WorkerTimeout` /
-        :class:`JobFailed`."""
+        :class:`JobFailed`.  ``deadline_s`` defaults to the pool's."""
         if self._closing.is_set():
             raise RuntimeError("pool is shutting down")
-        future: Future = Future()
+        future = JobFuture()
         job_id = next(self._job_ids)
         if deadline_s is None:
             deadline_s = self.deadline_s
@@ -374,7 +455,7 @@ class WorkerPool:
                 pending = len(self._pending)
                 alive = len(self._workers)
                 for worker in self._workers:
-                    waitables.append(worker.conn.recv_conn)
+                    waitables.append(worker.conn)
                     if worker.busy and worker.deadline is not None:
                         timeout = min(timeout, max(0.0, worker.deadline - now))
             if closing and busy == 0 and (pending == 0 or alive == 0):
@@ -428,6 +509,7 @@ class WorkerPool:
                         continue
                     worker.job_id = job_id
                     worker.future = future
+                    worker.deadline_s = deadline_s
                     worker.deadline = (
                         time.monotonic() + deadline_s
                         if deadline_s is not None
@@ -436,14 +518,14 @@ class WorkerPool:
             if not dead:
                 return
             for worker in dead:
-                self._replace(worker, count_restart=True)
+                self._replace(worker)
 
     def _on_worker_message(self, conn) -> None:
         from repro import obs
 
         with self._lock:
             worker = next(
-                (w for w in self._workers if w.conn.recv_conn is conn), None
+                (w for w in self._workers if w.conn is conn), None
             )
         if worker is None:
             return
@@ -456,26 +538,26 @@ class WorkerPool:
         with self._lock:
             worker.job_id = None
             worker.future = None
+            worker.deadline_s = None
             worker.deadline = None
         if future is None or future.done():
             return
         if message[1] == "ok":
             _, _, result, payload = message
-            obs.merge_snapshot(payload["metrics"])
-            obs.merge_dedup(payload["dedup"])
             self.completed += 1
-            obs.get_metrics().counter("serve.jobs.completed").inc()
+            obs.get_metrics().counter(f"{self.name}.jobs.completed").inc()
+            future.obs_payload = payload
             future.set_result(result)
         else:
             _, _, exc_type, exc_msg = message
-            obs.get_metrics().counter("serve.jobs.failed").inc()
+            obs.get_metrics().counter(f"{self.name}.jobs.failed").inc()
             future.set_exception(JobFailed(exc_type, exc_msg))
 
     def _worker_died(self, worker: _Worker) -> None:
         worker.proc.join(1.0)
         exitcode = worker.proc.exitcode
         future = worker.future
-        self._replace(worker, count_restart=True)
+        self._replace(worker)
         if future is not None and not future.done():
             self.crashes += 1
             _fail_future(future, WorkerCrash(exitcode))
@@ -495,13 +577,13 @@ class WorkerPool:
                 worker.proc.kill()
                 worker.proc.join()
             future = worker.future
-            deadline_s = self.deadline_s
-            self._replace(worker, count_restart=True)
+            deadline_s = worker.deadline_s
+            self._replace(worker)
             if future is not None and not future.done():
                 self.timeouts += 1
-                _fail_future(future, WorkerTimeout(deadline_s or 0.0))
+                _fail_future(future, WorkerTimeout(deadline_s))
 
-    def _replace(self, worker: _Worker, count_restart: bool) -> None:
+    def _replace(self, worker: _Worker) -> None:
         # Takes self._lock (non-reentrant): callers MUST NOT hold it —
         # collect dead workers under the lock, replace after releasing.
         from repro import obs
@@ -518,10 +600,9 @@ class WorkerPool:
                 self._workers.remove(worker)
                 if not self._closing.is_set():
                     self._workers.append(self._spawn())
-        if count_restart:
-            self.restarts += 1
-            obs.get_metrics().counter("serve.worker_restarts").inc()
-            obs.event("serve.worker_restart", exitcode=worker.proc.exitcode)
+        self.restarts += 1
+        obs.get_metrics().counter(f"{self.name}.worker_restarts").inc()
+        obs.event(f"{self.name}.worker_restart", exitcode=worker.proc.exitcode)
 
     # -- introspection ---------------------------------------------------
 
@@ -541,30 +622,3 @@ class WorkerPool:
             "timeouts": self.timeouts,
             "deadline_s": self.deadline_s,
         }
-
-
-class _DuplexPair:
-    """The two one-way pipes of one worker, presented as one endpoint."""
-
-    __slots__ = ("recv_conn", "send_conn")
-
-    def __init__(self, recv_conn, send_conn):
-        self.recv_conn = recv_conn
-        self.send_conn = send_conn
-
-    def send(self, obj) -> None:
-        self.send_conn.send(obj)
-
-    def recv(self):
-        return self.recv_conn.recv()
-
-    def close(self) -> None:
-        for conn in (self.recv_conn, self.send_conn):
-            try:
-                conn.close()
-            except OSError:
-                pass
-
-
-def _worker_loop_entry(recv_conn, send_conn, cache_dir) -> None:
-    _worker_main(_DuplexPair(recv_conn, send_conn), cache_dir)
