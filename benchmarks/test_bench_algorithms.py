@@ -1,19 +1,16 @@
 """Algorithm-level benchmarks and ablations.
 
-- cone-membership backends: hand-rolled DFS vs scipy MILP;
-- the branch-and-bound search on the paper's stencils and on the
-  adversarial NP-completeness instances;
+- exact integer cone membership: hand-rolled DFS vs Fourier-Motzkin;
+- the branch-and-bound search on the paper's stencils;
 - search-objective ablation (shortest vs known-bounds storage);
 - mapping-evaluation throughput: interpreted vs compiled address paths.
 """
 
-import random
-
 import pytest
 
+from repro.analysis.symcert import cone_system
 from repro.core import Stencil, find_optimal_uov
 from repro.core.cone import ConeSolver
-from repro.core.npcomplete import reduction_from_partition
 from repro.mapping import OVMapping2D
 from repro.util.polyhedron import Polytope
 
@@ -22,15 +19,20 @@ STENCIL5 = Stencil([(1, -2), (1, -1), (1, 0), (1, 1), (1, 2)])
 FIG3_ISG = Polytope([(1, 1), (1, 6), (10, 9), (10, 4)])
 
 
-@pytest.mark.parametrize("backend", ["dfs", "milp"])
-def test_cone_backend(benchmark, backend):
-    """Ablation: the two integer-feasibility backends on one workload."""
+@pytest.mark.parametrize("decider", ["dfs", "fm"])
+def test_cone_backend(benchmark, decider):
+    """Ablation: the two exact integer-feasibility deciders on one workload."""
     targets = [
         (t, x) for t in range(0, 7) for x in range(-6, 7)
     ]
 
     def solve_all():
-        solver = ConeSolver(STENCIL5.vectors, backend=backend)
+        if decider == "fm":
+            return sum(
+                not cone_system(STENCIL5.vectors, t).is_empty()
+                for t in targets
+            )
+        solver = ConeSolver(STENCIL5.vectors)
         return sum(solver.solve(t) is not None for t in targets)
 
     feasible = benchmark(solve_all)
@@ -62,21 +64,6 @@ def test_search_known_bounds(benchmark):
     assert result.ov == (3, 1) and result.storage == 16
     shortest = find_optimal_uov(FIG2)
     assert result.nodes_visited >= shortest.nodes_visited
-
-
-def test_npc_instance(benchmark):
-    """The adversarial reduction instances stay tractable for MILP."""
-    rng = random.Random(17)
-    values = [rng.randint(1, 25) for _ in range(8)]
-    stencil, w = reduction_from_partition(values)
-
-    def solve():
-        return ConeSolver(stencil.vectors, backend="milp").solve(w)
-
-    cert = benchmark(solve)
-    from repro.core.npcomplete import partition_solvable
-
-    assert (cert is not None) == partition_solvable(values)
 
 
 def test_mapping_throughput_compiled(benchmark):

@@ -188,7 +188,6 @@ class UOVCounterexample:
 def certify(
     ov: Sequence[int],
     stencil: Stencil,
-    backend: str = "dfs",
     counterexample_schedule: bool = True,
 ) -> Union[UOVCertificate, UOVCounterexample]:
     """Decide ``ov in UOV(V)`` statically, returning a checkable artifact.
@@ -204,7 +203,7 @@ def certify(
             "the zero vector directs no reuse and is never an occupancy "
             "vector"
         )
-    solver = ConeSolver(stencil.vectors, backend=backend)
+    solver = ConeSolver(stencil.vectors)
     rows: dict[IntVector, dict[IntVector, int]] = {}
     failing: Optional[IntVector] = None
     for v in stencil.vectors:

@@ -93,11 +93,10 @@ def differential_fuzz_uov(
     bounds: Sequence[tuple[int, int]],
     samples: int = 50,
     seed: int = 0,
-    backend: str = "dfs",
 ) -> FuzzReport:
     """Cross-validate ``certify(ov, stencil)`` against sampled schedules."""
     subject = f"ov={tuple(ov)} stencil={list(stencil.vectors)}"
-    result = certify(ov, stencil, backend=backend)
+    result = certify(ov, stencil)
     bounds = tuple((int(lo), int(hi)) for lo, hi in bounds)
     disagreements: list[str] = []
 

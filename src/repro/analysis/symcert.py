@@ -72,7 +72,7 @@ __all__ = [
 #: cache payloads: bumping it (changed lowering, changed FM engine
 #: semantics) invalidates cached proofs instead of silently trusting
 #: certificates produced by an older prover.
-SYMCERT_ENGINE_VERSION = "fm-omega-1"
+SYMCERT_ENGINE_VERSION = "fm-omega-2"
 
 #: Prefix of the cone-coefficient variables in lowered systems.
 _COEFF = "a"

@@ -103,7 +103,9 @@ logging for the ``repro.*`` loggers) — see DESIGN.md §8 and §14.
 from __future__ import annotations
 
 import argparse
+import shutil
 import sys
+import tempfile
 
 from repro import obs
 from repro.core import Stencil, find_optimal_uov, initial_uov
@@ -1325,12 +1327,19 @@ def main(argv=None) -> int:
     add_store_parser(sub, parents=[obs_flags])
 
     args = parser.parse_args(argv)
+    faults_dir = None
     if args.inject:
         from repro.resilience import FaultPlan, install_plan
 
+        # Every process of the run claims injection slots in one scratch
+        # dir, so ``times=N`` counts per run, not per worker.
+        faults_dir = tempfile.mkdtemp(prefix="repro-faults-")
         try:
-            plan = FaultPlan.from_spec(args.inject, seed=args.inject_seed)
+            plan = FaultPlan.from_spec(
+                args.inject, seed=args.inject_seed, scratch_dir=faults_dir
+            )
         except ValueError as exc:
+            shutil.rmtree(faults_dir)
             parser.error(f"--inject: {exc}")
         install_plan(plan)
         plan.arm_env()  # worker processes inherit the plan
@@ -1362,6 +1371,8 @@ def main(argv=None) -> int:
             obs.shutdown()  # also closes the ledger
         elif own_obs:
             obs.shutdown_ledger()
+        if faults_dir is not None:
+            shutil.rmtree(faults_dir, ignore_errors=True)
 
 
 if __name__ == "__main__":

@@ -12,25 +12,23 @@ solution with a positive diagonal coefficient).
 
 The problem is NP-complete in general (Section 3.1 / :mod:`.npcomplete`),
 but realistic stencils have few vectors with small entries, so an exact
-search is fast.  Two interchangeable backends are provided:
+search is fast.  :class:`ConeSolver` is a memoised depth-first search over
+coefficient choices.  The termination/bounding argument is the stencil's
+*positivity functional* ``w`` (``w . vi > 0`` for all ``i``, guaranteed by
+lexicographic positivity): any certificate for ``t`` has total weighted
+coefficient mass ``w . t``, so each coefficient is bounded by
+``w . t // min_i(w . vi)``.
 
-- ``"dfs"`` — a memoised depth-first search over coefficient choices.  The
-  termination/bounding argument is the stencil's *positivity functional*
-  ``w`` (``w . vi > 0`` for all ``i``, guaranteed by lexicographic
-  positivity): any certificate for ``t`` has total weighted coefficient
-  mass ``w . t``, so each coefficient is bounded by
-  ``w . t // min_i(w . vi)``.
-- ``"milp"`` — integer feasibility through :func:`scipy.optimize.milp`,
-  used to cross-check the hand-rolled solver and as the faster choice for
-  the adversarial NP-completeness instances.
+Rational membership (:func:`in_rational_cone`) is decided exactly by the
+Fourier-Motzkin engine in :mod:`repro.util.fm`, the same one that
+independently re-decides integer membership for the symbolic certifier.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
-import numpy as np
-
+from repro.util.fm import Constraint, LinExpr, System
 from repro.util.polyhedron import Polytope
 from repro.util.vectors import IntVector, as_vector, sub
 
@@ -86,9 +84,13 @@ def in_rational_cone(
 ) -> bool:
     """True when ``target`` is a non-negative *rational* combination.
 
-    This is the LP relaxation of integer cone membership; it is used to
-    find the extreme vectors of a stencil and as a fast necessary condition
-    inside the integer solvers.
+    This is the LP relaxation of integer cone membership; it finds the
+    extreme vectors of a stencil and the common-cone candidates of
+    :mod:`repro.core.multiloop`.  Decided exactly on the homogenised
+    system ``a_i >= 0, k >= 1, sum(a_i * v_i) == k * target``: a rational
+    solution times its common denominator is an integer solution (with
+    ``k`` that denominator), and an integer solution divided by ``k`` is
+    a rational one.  :class:`~repro.util.fm.FMBudgetExceeded` propagates.
     """
     target = as_vector(target)
     vecs = [as_vector(v) for v in vectors]
@@ -96,18 +98,14 @@ def in_rational_cone(
         return True
     if not vecs:
         return False
-    from scipy.optimize import linprog
-
-    a_eq = np.array(vecs, dtype=float).T
-    b_eq = np.array(target, dtype=float)
-    res = linprog(
-        c=np.zeros(len(vecs)),
-        A_eq=a_eq,
-        b_eq=b_eq,
-        bounds=[(0, None)] * len(vecs),
-        method="highs",
-    )
-    return bool(res.success)
+    names = [f"a{j}" for j in range(len(vecs))]
+    constraints = [Constraint(LinExpr.var(a)) for a in names]
+    constraints.append(Constraint(LinExpr.of({"k": 1}, -1)))
+    for d, t in enumerate(target):
+        coeffs = {a: v[d] for a, v in zip(names, vecs)}
+        coeffs["k"] = -t
+        constraints.append(Constraint(LinExpr.of(coeffs), equality=True))
+    return not System(constraints).is_empty()
 
 
 class ConeSolver:
@@ -118,17 +116,10 @@ class ConeSolver:
     sub-states recur constantly, so the cross-query memo pays off.
     """
 
-    def __init__(
-        self,
-        vectors: Sequence[Sequence[int]],
-        backend: str = "dfs",
-    ):
+    def __init__(self, vectors: Sequence[Sequence[int]]):
         vecs = [as_vector(v) for v in vectors]
         if not vecs:
             raise ValueError("a cone needs at least one generator")
-        if backend not in ("dfs", "milp"):
-            raise ValueError(f"unknown cone backend {backend!r}")
-        self._backend = backend
         self._weights = positivity_functional(vecs)
         # Order generators by decreasing weighted mass: big steps first
         # shrinks the residual fastest and keeps the memo small.
@@ -187,26 +178,13 @@ class ConeSolver:
                     raise ValueError("minimum coefficients must be >= 0")
                 base[v] = lo
                 target = sub(target, tuple(lo * c for c in v))
-        if self._backend == "milp":
-            free = self._solve_milp(target)
-        else:
-            free = self._solve_dfs(target)
-        if free is None:
+        coeffs = [0] * len(self._vectors)
+        if not self._dfs(0, target, coeffs):
             return None
-        return {v: base[v] + free.get(v, 0) for v in self._vectors}
+        return {v: base[v] + c for v, c in zip(self._vectors, coeffs)}
 
     def __contains__(self, target: Sequence[int]) -> bool:
         return self.solve(target) is not None
-
-    # -- DFS backend ---------------------------------------------------------
-
-    def _solve_dfs(self, target: IntVector) -> Optional[dict[IntVector, int]]:
-        coeffs: list[int] = [0] * len(self._vectors)
-        if self._dfs(0, target, coeffs):
-            return {
-                v: c for v, c in zip(self._vectors, coeffs) if c
-            }
-        return None
 
     def _dfs(self, i: int, rem: IntVector, coeffs: list[int]) -> bool:
         self.stats["dfs_nodes"] += 1
@@ -238,49 +216,13 @@ class ConeSolver:
         self._fail_memo.add(key)
         return False
 
-    # -- MILP backend ----------------------------------------------------------
-
-    def _solve_milp(self, target: IntVector) -> Optional[dict[IntVector, int]]:
-        from scipy.optimize import LinearConstraint, milp
-
-        wt = sum(w * c for w, c in zip(self._weights, target))
-        if wt < 0:
-            return None
-        if all(c == 0 for c in target):
-            return {}
-        n = len(self._vectors)
-        a_eq = np.array(self._vectors, dtype=float).T
-        constraint = LinearConstraint(
-            a_eq, np.array(target, float), np.array(target, float)
-        )
-        upper = [wt // wv for wv in self._wv]
-        from scipy.optimize import Bounds
-
-        res = milp(
-            c=np.zeros(n),
-            constraints=[constraint],
-            integrality=np.ones(n),
-            bounds=Bounds(np.zeros(n), np.array(upper, dtype=float)),
-        )
-        if not res.success:
-            return None
-        coeffs = [int(round(x)) for x in res.x]
-        # milp returns floats; re-verify exactly before trusting it.
-        for k in range(self._dim):
-            if sum(c * v[k] for c, v in zip(coeffs, self._vectors)) != target[k]:
-                return None
-        return {
-            v: c for v, c in zip(self._vectors, coeffs) if c
-        }
-
 
 def in_integer_cone(
     target: Sequence[int],
     vectors: Sequence[Sequence[int]],
-    backend: str = "dfs",
 ) -> Optional[dict[IntVector, int]]:
     """One-shot integer cone membership; returns a certificate or ``None``."""
-    return ConeSolver(vectors, backend=backend).solve(target)
+    return ConeSolver(vectors).solve(target)
 
 
 def expand_certificate(

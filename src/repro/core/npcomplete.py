@@ -102,9 +102,7 @@ def partition_brute_force(values: Sequence[int]) -> Optional[tuple[int, ...]]:
     return None
 
 
-def cone_query_matches_partition(
-    values: Sequence[int], backend: str = "milp"
-) -> bool:
+def cone_query_matches_partition(values: Sequence[int]) -> bool:
     """Check the reduction's core equivalence on one instance.
 
     Returns True when "``w`` is a non-negative integer combination of
@@ -114,8 +112,7 @@ def cone_query_matches_partition(
     what makes the membership problem NP-hard.)
     """
     stencil, w = reduction_from_partition(values)
-    solver = ConeSolver(stencil.vectors, backend=backend)
-    in_cone = solver.solve(w) is not None
+    in_cone = ConeSolver(stencil.vectors).solve(w) is not None
     return in_cone == partition_solvable(values)
 
 

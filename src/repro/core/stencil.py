@@ -132,10 +132,13 @@ class Stencil:
         """The extreme rays of the stencil's cone (Ramanujam/Sadayappan [22]).
 
         A stencil vector is *extreme* when it is not a non-negative rational
-        combination of the remaining vectors.  The paper uses the extreme
-        vectors to build the parallelepiped bounding the ``DONE`` search
-        region (Figure 4); we expose them for the same purpose and for the
-        tiling legality analysis.
+        combination of the remaining vectors, decided exactly by
+        :func:`~repro.core.cone.in_rational_cone`.  The paper uses the
+        extreme vectors to build the parallelepiped bounding the ``DONE``
+        search region (Figure 4).  Nothing in the pipeline reads them: the
+        search in :mod:`repro.core.search` bounds its region with the
+        positivity functional instead.  They are exposed for analysis and
+        tests.
         """
         from repro.core.cone import in_rational_cone
 

@@ -41,7 +41,6 @@ def is_uov(
     ov: Sequence[int],
     stencil: Stencil,
     solver: Optional[ConeSolver] = None,
-    backend: str = "dfs",
 ) -> bool:
     """Membership test ``ov in UOV(V)``.
 
@@ -50,14 +49,13 @@ def is_uov(
     zero vector is never a UOV: it would overwrite a value in the very
     iteration that produces it.
     """
-    return uov_certificates(ov, stencil, solver=solver, backend=backend) is not None
+    return uov_certificates(ov, stencil, solver=solver) is not None
 
 
 def uov_certificates(
     ov: Sequence[int],
     stencil: Stencil,
     solver: Optional[ConeSolver] = None,
-    backend: str = "dfs",
 ) -> Optional[dict[IntVector, dict[IntVector, int]]]:
     """Per-stencil-vector cone certificates proving ``ov in UOV(V)``.
 
@@ -72,7 +70,7 @@ def uov_certificates(
     if is_zero(ov):
         return None
     if solver is None:
-        solver = ConeSolver(stencil.vectors, backend=backend)
+        solver = ConeSolver(stencil.vectors)
     rows: dict[IntVector, dict[IntVector, int]] = {}
     for v in stencil.vectors:
         certificate = solver.solve(sub(ov, v))
@@ -86,7 +84,6 @@ def uov_rejection(
     ov: Sequence[int],
     stencil: Stencil,
     solver: Optional[ConeSolver] = None,
-    backend: str = "dfs",
 ) -> Optional[IntVector]:
     """The first stencil vector witnessing ``ov not in UOV(V)``.
 
@@ -103,7 +100,7 @@ def uov_rejection(
     if is_zero(ov):
         return stencil.vectors[0]
     if solver is None:
-        solver = ConeSolver(stencil.vectors, backend=backend)
+        solver = ConeSolver(stencil.vectors)
     for v in stencil.vectors:
         if solver.solve(sub(ov, v)) is None:
             return v

@@ -3,9 +3,9 @@
 Not a table or figure, but a theorem with a constructive proof; this
 experiment *runs* the construction: random PARTITION instances are
 reduced to UOV-membership queries and both sides of the claimed
-equivalence are computed independently (pseudo-polynomial DP for
-PARTITION; the exact cone solver — both backends — for the membership
-query).
+equivalence are computed independently: the pseudo-polynomial DP for
+PARTITION (itself checked against brute force), and the exact DFS cone
+solver for the cone query of ``w`` and for full UOV membership.
 """
 
 from __future__ import annotations
@@ -40,9 +40,8 @@ def run(mode: str = "quick") -> ExperimentResult:
         )
         stencil, w = reduction_from_partition(values)
         expected = partition_solvable(values)
-        solver = ConeSolver(stencil.vectors, backend="dfs")
-        in_cone = solver.solve(w) is not None
-        member = is_uov(w, stencil, backend="milp")
+        in_cone = ConeSolver(stencil.vectors).solve(w) is not None
+        member = is_uov(w, stencil)
         agree += in_cone == expected
         uov_agree += member == expected
         solvable_count += expected

@@ -356,6 +356,11 @@ class WorkerPool:
     def start(self) -> None:
         if self._thread is not None:
             raise RuntimeError("pool already started")
+        # Every job kind runs on numpy.  Importing it before the first
+        # fork lets each worker, respawned ones included, inherit it
+        # instead of importing it on its first job.
+        import numpy  # noqa: F401
+
         for _ in range(self.size):
             self._workers.append(self._spawn())
         self._thread = threading.Thread(

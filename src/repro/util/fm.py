@@ -42,6 +42,7 @@ auditable proof object embedded in serialized symbolic certificates.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import ceil, floor, gcd
@@ -60,6 +61,9 @@ __all__ = [
 _MAX_CONSTRAINTS = 4000
 _MAX_SPLINTER_DEPTH = 12
 _SAMPLE_TRIES_PER_VAR = 512
+
+#: Name of the fresh variables the mod-hat reduction introduces.
+_SIGMA = re.compile(r"__fm_sigma(\d+)")
 
 
 class FMBudgetExceeded(RuntimeError):
@@ -321,7 +325,18 @@ class System:
             else:
                 ineqs.append(norm)
         substitutions: list[tuple[str, LinExpr]] = []
-        fresh = 0
+        # Number fresh variables past any already in the system (a
+        # splinter re-enters here with earlier sigmas still present);
+        # reusing a name would merge two unrelated variables.
+        fresh = 1 + max(
+            (
+                int(match.group(1))
+                for con in self._constraints
+                for v in con.expr.variables
+                if (match := _SIGMA.fullmatch(v))
+            ),
+            default=-1,
+        )
         while eqs:
             expr = eqs.pop()
             norm = _normalize(Constraint(expr, equality=True))
@@ -605,7 +620,14 @@ class System:
     def sample_rational(self) -> Optional[dict[str, Fraction]]:
         """Rational-vertex fallback witness: a rational solution obtained
         by back-substituting interval midpoints through the real-shadow
-        elimination.  ``None`` when the rational relaxation is empty."""
+        elimination.
+
+        ``None`` when the *GCD-tightened* system has no real point.  That
+        covers every rationally empty system, but also some rationally
+        feasible ones: ``2*a == 1`` fails the GCD test, so ``None`` here
+        does not decide rational feasibility.  (Rational cone membership
+        is decided by homogenising instead; see
+        :func:`repro.core.cone.in_rational_cone`.)"""
         try:
             constraints, substitutions = self._eliminated_equalities()
         except _Infeasible:

@@ -1,9 +1,12 @@
 """Integer cone membership: the feasibility kernel of Section 3."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.symcert import cone_system
 from repro.core.cone import (
     ConeSolver,
     coefficient_bound,
@@ -33,6 +36,51 @@ def brute_force_in_cone(target, vectors, cap=6):
                 (tuple(v), c) for v, c in zip(vectors, coeffs) if c
             )
     return None
+
+
+def _solve_exact(columns, target):
+    """The unique exact solution of ``sum(x_j * columns[j]) == target``,
+    or ``None`` when the columns are dependent or the system has no
+    solution (Gauss-Jordan over ``Fraction``)."""
+    r = len(columns)
+    rows = [
+        [Fraction(col[k]) for col in columns] + [Fraction(target[k])]
+        for k in range(len(target))
+    ]
+    pivot_row = 0
+    for j in range(r):
+        pick = next(
+            (i for i in range(pivot_row, len(rows)) if rows[i][j] != 0), None
+        )
+        if pick is None:
+            return None  # dependent columns
+        rows[pivot_row], rows[pick] = rows[pick], rows[pivot_row]
+        lead = rows[pivot_row][j]
+        rows[pivot_row] = [x / lead for x in rows[pivot_row]]
+        for i in range(len(rows)):
+            if i != pivot_row and rows[i][j] != 0:
+                f = rows[i][j]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[pivot_row])]
+        pivot_row += 1
+    if any(row[-1] != 0 for row in rows[r:]):
+        return None  # inconsistent
+    return [rows[j][-1] for j in range(r)]
+
+
+def caratheodory_in_cone(target, vectors):
+    """Independent rational-cone oracle (Caratheodory's theorem): a point
+    of the cone is a non-negative combination of some linearly
+    independent subset of at most ``dim`` generators."""
+    import itertools
+
+    if all(c == 0 for c in target):
+        return True
+    for size in range(1, len(target) + 1):
+        for subset in itertools.combinations(vectors, size):
+            x = _solve_exact(subset, target)
+            if x is not None and all(c >= 0 for c in x):
+                return True
+    return False
 
 
 class TestPositivityFunctional:
@@ -87,10 +135,6 @@ class TestConeSolverExact:
         with pytest.raises(ValueError):
             solver.solve((1, 1), min_coeffs={(1, 1): -1})
 
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            ConeSolver([(1, 0)], backend="magic")
-
     @settings(max_examples=60, deadline=None)
     @given(
         st.lists(lex_positive_vectors(max_abs=2), min_size=1, max_size=3),
@@ -114,11 +158,11 @@ class TestConeSolverExact:
         st.lists(lex_positive_vectors(max_abs=2), min_size=1, max_size=3),
         st.tuples(st.integers(0, 6), st.integers(-5, 5)),
     )
-    def test_dfs_and_milp_agree(self, vectors, target):
+    def test_dfs_and_fm_agree(self, vectors, target):
         vectors = list(dict.fromkeys(vectors))
-        dfs = ConeSolver(vectors, backend="dfs").solve(target)
-        milp = ConeSolver(vectors, backend="milp").solve(target)
-        assert (dfs is None) == (milp is None)
+        dfs = ConeSolver(vectors).solve(target)
+        fm_empty = cone_system(vectors, target).is_empty()
+        assert (dfs is None) == fm_empty
 
 
 class TestRationalCone:
@@ -132,6 +176,26 @@ class TestRationalCone:
 
     def test_nonmember(self):
         assert not in_rational_cone((-1, 0), [(1, 0), (0, 1)])
+
+    def test_needs_fractional_coefficients(self):
+        # 1/2 * (2, 0) + 1/3 * (0, 3): the GCD test of the integer system
+        # must not leak into the rational answer.
+        assert in_rational_cone((1, 1), [(2, 0), (0, 3)])
+        assert in_rational_cone((1, 1, 1), [(2, 0, 2), (0, 3, 0)])
+        assert not in_rational_cone((1, 1, 2), [(2, 0, 2), (0, 3, 0)])
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_matches_caratheodory_oracle(self, dim, data):
+        coords = st.tuples(*[st.integers(-3, 3) for _ in range(dim)])
+        vectors = data.draw(st.lists(coords, min_size=1, max_size=5))
+        target = data.draw(
+            st.tuples(*[st.integers(-6, 6) for _ in range(dim)])
+        )
+        assert in_rational_cone(target, vectors) == caratheodory_in_cone(
+            target, vectors
+        )
 
 
 class TestCoefficientBound:

@@ -1,7 +1,5 @@
 """The PARTITION reduction of Section 3.1."""
 
-import random
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -55,15 +53,13 @@ class TestReduction:
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.integers(1, 9), min_size=1, max_size=5))
     def test_cone_query_equivalence(self, values):
-        assert cone_query_matches_partition(values, backend="dfs")
+        assert cone_query_matches_partition(values)
 
     @settings(max_examples=12, deadline=None)
     @given(st.lists(st.integers(1, 7), min_size=1, max_size=4))
     def test_full_uov_membership_equivalence(self, values):
         stencil, w = reduction_from_partition(values)
-        assert is_uov(w, stencil, backend="milp") == partition_solvable(
-            values
-        )
+        assert is_uov(w, stencil) == partition_solvable(values)
 
     def test_witness_builds_cone_certificate(self):
         values = [3, 5, 2, 4]
@@ -81,11 +77,6 @@ class TestReduction:
 
 
 class TestHardishInstances:
-    def test_larger_instance_still_fast(self):
-        rng = random.Random(5)
-        values = [rng.randint(1, 30) for _ in range(7)]
-        assert cone_query_matches_partition(values, backend="milp")
-
     def test_unsolvable_instance_by_parity(self):
         # all even except one odd value: total odd -> unsolvable
         values = [2, 4, 6, 3]
